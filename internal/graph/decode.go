@@ -24,9 +24,9 @@ import (
 //
 // Graph.UnmarshalJSON routes through decodeJSONGraph, so every consumer
 // of the JSON codec (the lplserve request path above all) gets the fast
-// path. The previous encoding/json-based implementation is retained as
-// decodeJSONReference and pinned bit-identical (CSR arrays and
-// fingerprint) to the streaming decoder by decoder-equivalence tests
+// path. The previous encoding/json-based implementation is retained in
+// the tests as decodeJSONReference and pinned bit-identical (CSR arrays
+// and fingerprint) to the streaming decoder by decoder-equivalence tests
 // and FuzzDecodeEquivalence.
 //
 // Validation is shared and typed: self-loops (ErrSelfLoop), endpoints

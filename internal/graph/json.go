@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"encoding/json"
-	"fmt"
-	"strings"
-)
+import "encoding/json"
 
 // JSON wire form of a graph, used by the lplserve HTTP API and anyone
 // embedding a *Graph in a marshaled struct. Two encodings are accepted on
@@ -21,19 +17,10 @@ import (
 // Decoding runs on the streaming decoder (decode.go): the object form is
 // scanned byte-by-byte into pooled flat edge buffers and assembled
 // directly in CSR shape, with no intermediate [][]int and no per-edge
-// allocations. decodeJSONReference below is the retained encoding/json
-// implementation; the two are pinned bit-identical (CSR arrays and
-// fingerprint) on every accepted body by the decoder-equivalence tests
-// and FuzzDecodeEquivalence.
-
-// jsonGraph is the object wire form of the reference decoder. Edges
-// decode as [][]int, not [][2]int: encoding/json zero-fills or truncates
-// fixed-size arrays, so the [2]int form would silently rewrite malformed
-// tuples instead of rejecting them.
-type jsonGraph struct {
-	N     int     `json:"n"`
-	Edges [][]int `json:"edges"`
-}
+// allocations. decodeJSONReference (json_ref_test.go) is the retained
+// encoding/json implementation; the two are pinned bit-identical (CSR
+// arrays and fingerprint) on every accepted body by the
+// decoder-equivalence tests and FuzzDecodeEquivalence.
 
 // MarshalJSON encodes g in the object wire form. The edge list is the
 // canonical one (normalized, u < v, sorted), so the encoding is
@@ -57,40 +44,6 @@ func (g *Graph) UnmarshalJSON(data []byte) error {
 	}
 	g.adoptBuilt(h)
 	return nil
-}
-
-// decodeJSONReference is the encoding/json implementation the streaming
-// decoder replaced, retained as the equivalence oracle: every body it
-// accepts must produce a bit-identical graph (CSR arrays and
-// fingerprint) from decodeJSONGraph.
-func decodeJSONReference(data []byte) (*Graph, error) {
-	trimmed := strings.TrimSpace(string(data))
-	if strings.HasPrefix(trimmed, `"`) {
-		var doc string
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return nil, err
-		}
-		return Read(strings.NewReader(doc))
-	}
-	var wire jsonGraph
-	if err := json.Unmarshal(data, &wire); err != nil {
-		return nil, err
-	}
-	if err := checkVertexCount(int64(wire.N)); err != nil {
-		return nil, err
-	}
-	h := New(wire.N)
-	for i, e := range wire.Edges {
-		if len(e) != 2 {
-			return nil, fmt.Errorf("graph: edge %d has %d endpoints, want exactly 2", i, len(e))
-		}
-		if err := validateEdge(i, int64(e[0]), int64(e[1]), wire.N); err != nil {
-			return nil, err
-		}
-		h.AddEdge(e[0], e[1])
-	}
-	h.Normalize()
-	return h, nil
 }
 
 // adoptBuilt moves a freshly decoded graph's contents into g, carrying

@@ -17,7 +17,7 @@ const BnBMaxN = 36
 // cost plus an MST over the unvisited vertices together with the cheapest
 // connection from the current endpoint; the initial upper bound comes from
 // the chained heuristic. It extends the exact range past Held–Karp's
-// memory limit (n ≤ BnBMaxN instead of n ≤ HeldKarpMaxN).
+// size limit (n ≤ BnBMaxN instead of n ≤ HeldKarpMaxN).
 func BranchAndBoundPath(ins *Instance) (Tour, int64, error) {
 	t, st, err := branchAndBoundPath(context.Background(), ins, nil)
 	if err != nil {

@@ -151,11 +151,11 @@ func chained(o *SolveOptions) *ChainedOptions {
 	return o.Chained
 }
 
-// exactEngine solves the path objective with Held–Karp within its memory
-// budget and branch and bound beyond it; the path branch is anytime (a
+// exactEngine solves the path objective with Held–Karp up to HeldKarpMaxN
+// and branch and bound beyond it; the path branch is anytime (a
 // deadline yields an incumbent instead of an error). The cycle objective
-// is Held–Karp only — there is no cycle branch and bound — so past the
-// Held–Karp budget or on cancellation it errors per the Engine contract
+// is Held–Karp only — there is no cycle branch and bound — so past
+// HeldKarpMaxN or on cancellation it errors per the Engine contract
 // (no incumbent to surrender).
 type exactEngine struct{ chained *ChainedOptions }
 

@@ -87,3 +87,20 @@ func BenchmarkHeldKarpPooled(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkHeldKarpPath is the exact DP's ladder: n=8 and 12 are the
+// sizes serving workloads solve on cache misses, n=16 and 20 the exact
+// band's lower half. A steady-state solve allocates only its tour.
+func BenchmarkHeldKarpPath(b *testing.B) {
+	for _, n := range []int{8, 12, 16, 20} {
+		compact, _ := benchPair(n, 4)
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, err := HeldKarpPath(compact); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

@@ -1,7 +1,9 @@
 package tsp
 
 import (
+	"context"
 	"sync"
+	"weak"
 
 	"lpltsp/internal/dsu"
 )
@@ -159,36 +161,104 @@ func getGreedyScratch(n, classes int) *greedyScratch {
 
 func putGreedyScratch(sc *greedyScratch) { greedyPool.Put(sc) }
 
-// hkScratch backs the Held–Karp DP: the dp/parent tables (the dominant
-// allocation of exact solves, ~2^n·n·5 bytes), the int32 weight matrix,
-// and the per-layer mask list. Pooling these is what makes steady-state
-// exact batch solving allocation-free; the pool is GC-clearable, so a
-// one-off large solve does not pin its tables forever.
+// hkScratch backs the Held–Karp DP (heldkarp.go): one int32 slab holding
+// every subset layer up to depth ⌈m/2⌉ (Σ_{k≤⌈m/2⌉} C(m,k)·k·4 B, the
+// dominant allocation of exact solves: about 384 MiB at m = 24), the int32
+// weight matrix, and the per-chunk results of a parallel pass, next to
+// the state of the solve that holds it. Pooling these is what makes
+// steady-state exact batch solving allocation-free; the pool is
+// GC-clearable, so a one-off large solve does not pin its table forever.
 type hkScratch struct {
-	dp    []int32
-	par   []int8
+	slab  []int32 // the table of the current solve: small or big.cells
+	small []int32 // pooled table, at most hkPoolMaxSlab entries
+	big   *hkSlab // held from hkBig while the table is larger
 	w32   []int32
-	masks []int
+	parts []hkPart
+	wg    sync.WaitGroup
+
+	ctx             context.Context
+	m, h            int             // kernel vertices, DP depth ⌈m/2⌉
+	off             [hkMaxM + 2]int // layer k occupies slab[off[k]:off[k+1]]
+	joinIn, joinOut int             // join takes S ⊇ joinIn with S ∩ joinOut = ∅
+}
+
+// hkPart is one chunk's result of a parallel pass: whether it finished,
+// and for the join the cheapest split it saw (first-half mask, index of u
+// in it, index of v in its complement).
+type hkPart struct {
+	ok         bool
+	cost       int32
+	mask, u, v int
 }
 
 var hkPool = sync.Pool{New: func() any { return new(hkScratch) }}
 
-func getHKScratch(size, n int) *hkScratch {
+// hkPoolMaxSlab caps the slab a pooled scratch keeps (16M entries,
+// 64 MiB: every table up to m = 21). sync.Pool keeps a scratch per P, so
+// pooling the m = 22–25 tables would keep several of them resident at
+// once. They live in hkBig instead.
+const hkPoolMaxSlab = 1 << 24
+
+// hkSlab is a table over hkPoolMaxSlab.
+type hkSlab struct{ cells []int32 }
+
+// hkBig holds the last large table, weakly: the next large solve reuses
+// it unless a GC has reclaimed it in between. It is allocated for
+// m = HeldKarpMaxN at least, so a run of growing solves fills one table
+// instead of leaving a trail of smaller ones (pages a smaller table does
+// not reach are never touched, so they take no memory).
+var hkBig struct {
+	sync.Mutex
+	slab weak.Pointer[hkSlab]
+}
+
+// hkMaxPathSlab is the free-path table at n = HeldKarpMaxN.
+var hkMaxPathSlab = func() (words int) {
+	for k := 1; k <= (HeldKarpMaxN+1)/2; k++ {
+		words += hkBinom[HeldKarpMaxN][k] * k
+	}
+	return words
+}()
+
+func getHKScratch(ctx context.Context, m int) *hkScratch {
 	sc := hkPool.Get().(*hkScratch)
-	if cap(sc.dp) < size*n {
-		sc.dp = make([]int32, size*n)
-		sc.par = make([]int8, size*n)
+	sc.ctx, sc.m, sc.h = ctx, m, (m+1)/2
+	for k := 1; k <= sc.h; k++ {
+		sc.off[k+1] = sc.off[k] + hkBinom[m][k]*k
 	}
-	sc.dp = sc.dp[:size*n]
-	sc.par = sc.par[:size*n]
-	if cap(sc.w32) < n*n {
-		sc.w32 = make([]int32, n*n)
+	size := sc.off[sc.h+1]
+	switch {
+	case size > hkPoolMaxSlab:
+		hkBig.Lock()
+		sc.big = hkBig.slab.Value()
+		hkBig.slab = weak.Pointer[hkSlab]{}
+		hkBig.Unlock()
+		if sc.big == nil || cap(sc.big.cells) < size {
+			sc.big = &hkSlab{make([]int32, max(size, hkMaxPathSlab))}
+		}
+		sc.slab = sc.big.cells[:size]
+	default:
+		if cap(sc.small) < size {
+			sc.small = make([]int32, size)
+		}
+		sc.slab = sc.small[:size]
 	}
-	sc.w32 = sc.w32[:n*n]
-	if sc.masks == nil {
-		sc.masks = make([]int, 0, 1<<16)
+	if cap(sc.w32) < m*m {
+		sc.w32 = make([]int32, m*m)
 	}
+	sc.w32 = sc.w32[:m*m]
 	return sc
 }
 
-func putHKScratch(sc *hkScratch) { hkPool.Put(sc) }
+func putHKScratch(sc *hkScratch) {
+	if b := sc.big; b != nil {
+		hkBig.Lock()
+		if idle := hkBig.slab.Value(); idle == nil || cap(idle.cells) < cap(b.cells) {
+			hkBig.slab = weak.Make(b)
+		}
+		hkBig.Unlock()
+		sc.big = nil
+	}
+	sc.ctx, sc.slab = nil, nil
+	hkPool.Put(sc)
+}
