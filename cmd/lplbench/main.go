@@ -369,15 +369,15 @@ func ladderJSON(rep *bench.LadderReport) any {
 			"graphRef traffic through cluster.Router with %d concurrent clients. Scaling runs: %d distinct "+
 			"n=%d instances, each interned through the router and then solved exactly once, with every solve "+
 			"pinned to the registered bench-floor method, which holds its node's single solver slot "+
-			"(Workers=1) for %v of wall time. This box has 1 logical CPU (GOMAXPROCS=%d), so horizontal "+
-			"scaling of CPU-bound work cannot be expressed here; the floor models per-node service capacity "+
-			"instead, and what the ladder measures is the cluster layer's actual contribution — independent "+
+			"(Workers=1) for %v of wall time. This box has %d logical CPU(s) (GOMAXPROCS=%d), shared by "+
+			"every in-process backend, so horizontal scaling of CPU-bound work cannot be expressed here; the "+
+			"floor models per-node service capacity instead, and what the ladder measures is the cluster layer's actual contribution — independent "+
 			"per-node capacity under graphRef-affine routing, bounded by the busiest owner's key share "+
 			"(perBackendSolved gives the realized balance). Overhead pair: the same ladder with floor=0 and "+
 			"%d hot requests cycling %d cached instances, once against the backend handler directly and once "+
 			"through the router — every request a cache hit, so the difference is purely the router's "+
 			"fingerprint-extraction + forwarding cost.",
-		cfg.Clients, cfg.Distinct, cfg.N, cfg.Floor, runtime.GOMAXPROCS(0),
+		cfg.Clients, cfg.Distinct, cfg.N, cfg.Floor, runtime.NumCPU(), runtime.GOMAXPROCS(0),
 		cfg.HotRequests, cfg.HotDistinct)
 	verdict := "PASS"
 	if rep.Scaling2 < 1.7 || rep.Scaling4 < 3.0 {

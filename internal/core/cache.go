@@ -1,13 +1,13 @@
 package core
 
 import (
-	"container/list"
 	"strconv"
 	"sync"
 	"sync/atomic"
 
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
+	"lpltsp/internal/lru"
 	"lpltsp/internal/tsp"
 )
 
@@ -17,18 +17,8 @@ import (
 // cached instances' sizes.
 const DefaultCacheCapacity = 512
 
-// Shard geometry: 2^cacheShardBits independently locked LRU shards, so
-// concurrent requests serialize only against requests whose keys hash to
-// the same shard, not against the whole serving tier. Budgets smaller
-// than the shard count collapse to one shard — per-shard quotas of a
-// tiny budget would round to nothing meaningful, and the single-shard
-// cache preserves the exact classic LRU semantics the capacity tests pin.
-const (
-	cacheShardBits  = 4
-	cacheShardCount = 1 << cacheShardBits
-)
-
-// SolveCache is a sharded LRU memoizing verified solve results, fronted
+// SolveCache is a sharded LRU (internal/lru: its geometry, shard hash
+// and consistent snapshots) memoizing verified solve results, fronted
 // by a singleflight layer (singleflight.go) that coalesces concurrent
 // identical requests into one underlying solve, and optionally backed by
 // a pluggable L2 cache (l2.go) consulted on L1 miss before solving.
@@ -69,47 +59,13 @@ type SolveCache struct {
 // (interfaces are two words; pointers are one).
 type l2Box struct{ l2 L2Cache }
 
-type cacheGen struct {
-	shards []*cacheShard
-	mask   uint64
-	cap    int // total entry budget across shards
-}
+// cacheGen is one generation of the L1: a sharded LRU (internal/lru)
+// whose per-shard counters are plain ints mutated under the shard lock,
+// so a stats() sweep reads an internally consistent (hits, misses,
+// evictions, entries) tuple.
+type cacheGen = lru.Sharded[*Result, cacheCounters]
 
-// cacheShard is one independently locked LRU. The counters are plain
-// ints mutated under mu, so a stats() sweep that takes the shard locks
-// reads an internally consistent (hits, misses, evictions, entries)
-// tuple — the atomic counters this replaces could be read mid-burst with
-// hits and misses from different moments, skewing the derived hit rate.
-type cacheShard struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	entries map[string]*list.Element
-
-	hits, misses, evictions int64
-}
-
-type cacheEntry struct {
-	key string
-	res *Result
-}
-
-func newCacheGen(capacity int) *cacheGen {
-	shards := cacheShardCount
-	if capacity < cacheShardCount {
-		shards = 1
-	}
-	g := &cacheGen{shards: make([]*cacheShard, shards), mask: uint64(shards - 1), cap: capacity}
-	base, rem := capacity/shards, capacity%shards
-	for i := range g.shards {
-		sc := base
-		if i < rem {
-			sc++
-		}
-		g.shards[i] = &cacheShard{cap: sc, ll: list.New(), entries: map[string]*list.Element{}}
-	}
-	return g
-}
+type cacheCounters struct{ hits, misses, evictions int64 }
 
 // NewSolveCache returns an isolated cache + singleflight instance with
 // the given total entry budget. Pass it via Options.Cache (or
@@ -117,7 +73,7 @@ func newCacheGen(capacity int) *cacheGen {
 // singleflight state, independent of the process-wide default.
 func NewSolveCache(capacity int) *SolveCache {
 	c := &SolveCache{}
-	c.gen.Store(newCacheGen(capacity))
+	c.gen.Store(lru.New[*Result, cacheCounters](capacity))
 	return c
 }
 
@@ -144,28 +100,33 @@ func (c *SolveCache) loadL2() L2Cache {
 func (c *SolveCache) Stats() CacheStats { return c.stats() }
 
 // Reset empties the cache and zeroes its counters, keeping the current
-// capacity. The installed L2, if any, stays.
-func (c *SolveCache) Reset() { c.resetKeepCap() }
+// capacity (read under resetMu, so a concurrent SetCapacity cannot race
+// it). The installed L2, if any, stays.
+func (c *SolveCache) Reset() {
+	c.resetMu.Lock()
+	defer c.resetMu.Unlock()
+	c.resetLocked(c.gen.Load().Cap())
+}
 
 // SetCapacity resets the cache with a new entry budget (≤ 0 disables
 // caching on this instance).
-func (c *SolveCache) SetCapacity(capacity int) { c.reset(capacity) }
+func (c *SolveCache) SetCapacity(capacity int) {
+	c.resetMu.Lock()
+	defer c.resetMu.Unlock()
+	c.resetLocked(capacity)
+}
+
+// resetLocked swaps in an empty generation and zeroes every counter. The
+// caller holds resetMu.
+func (c *SolveCache) resetLocked(capacity int) {
+	c.gen.Store(lru.New[*Result, cacheCounters](capacity))
+	c.coalesced.Store(0)
+	c.l2Served.Store(0)
+	c.l2PeerHits.Store(0)
+	c.l2Fallbacks.Store(0)
+}
 
 var defaultSolveCache = NewSolveCache(DefaultCacheCapacity)
-
-// fnvKey is the shard-selection hash: FNV-1a over the canonical cache
-// key. Both the LRU shards and the singleflight table index with it.
-func fnvKey(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return h
-}
-
-func (g *cacheGen) shard(key string) *cacheShard {
-	return g.shards[fnvKey(key)&g.mask]
-}
 
 // copyResult clones the slices a caller could mutate; everything else is
 // immutable after the solve.
@@ -180,19 +141,32 @@ func copyResult(r *Result) *Result {
 	return &cp
 }
 
-func (c *SolveCache) get(key string) (*Result, bool) {
-	sh := c.gen.Load().shard(key)
-	sh.mu.Lock()
-	el, ok := sh.entries[key]
+func (c *SolveCache) get(key string) (*Result, bool) { return c.lookup(key, false) }
+
+// getRecounted is get for a caller that has already counted a miss for
+// this key (the under-flight-lock re-lookup in solveCoalesced): a hit
+// here converts that provisional miss into a hit, so every request still
+// counts exactly one hit or miss; a second miss stays the single miss
+// already recorded.
+func (c *SolveCache) getRecounted(key string) (*Result, bool) { return c.lookup(key, true) }
+
+func (c *SolveCache) lookup(key string, recount bool) (*Result, bool) {
+	sh := c.gen.Load().Shard(key)
+	sh.Lock()
+	res, ok := sh.Get(key)
+	switch {
+	case ok:
+		sh.Counters.hits++
+		if recount && sh.Counters.misses > 0 { // the provisional miss may predate a reset
+			sh.Counters.misses--
+		}
+	case !recount:
+		sh.Counters.misses++
+	}
+	sh.Unlock()
 	if !ok {
-		sh.misses++
-		sh.mu.Unlock()
 		return nil, false
 	}
-	sh.ll.MoveToFront(el)
-	res := el.Value.(*cacheEntry).res
-	sh.hits++
-	sh.mu.Unlock()
 	// Deep copy outside the lock: stored results are immutable.
 	cp := copyResult(res)
 	cp.CacheHit = true
@@ -200,101 +174,30 @@ func (c *SolveCache) get(key string) (*Result, bool) {
 	return cp, true
 }
 
-// getRecounted is get for a caller that has already counted a miss for
-// this key (the under-flight-lock re-lookup in solveCoalesced): a hit
-// here converts that provisional miss into a hit, so every request still
-// counts exactly one hit or miss; a second miss stays the single miss
-// already recorded.
-func (c *SolveCache) getRecounted(key string) (*Result, bool) {
-	sh := c.gen.Load().shard(key)
-	sh.mu.Lock()
-	el, ok := sh.entries[key]
-	if !ok {
-		sh.mu.Unlock()
-		return nil, false
-	}
-	sh.ll.MoveToFront(el)
-	res := el.Value.(*cacheEntry).res
-	sh.hits++
-	if sh.misses > 0 { // the provisional miss may predate a reset
-		sh.misses--
-	}
-	sh.mu.Unlock()
-	cp := copyResult(res)
-	cp.CacheHit = true
-	cp.Coalesced = false
-	return cp, true
-}
-
 func (c *SolveCache) put(key string, res *Result) {
-	sh := c.gen.Load().shard(key)
-	if sh.cap <= 0 {
+	sh := c.gen.Load().Shard(key)
+	if sh.Cap() <= 0 {
 		return
 	}
 	stored := copyResult(res)
 	stored.CacheHit = false
 	stored.Coalesced = false
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if el, ok := sh.entries[key]; ok {
-		sh.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).res = stored
-		return
-	}
-	sh.entries[key] = sh.ll.PushFront(&cacheEntry{key: key, res: stored})
-	for sh.ll.Len() > sh.cap {
-		back := sh.ll.Back()
-		sh.ll.Remove(back)
-		delete(sh.entries, back.Value.(*cacheEntry).key)
-		sh.evictions++
-	}
+	sh.Lock()
+	sh.Counters.evictions += int64(sh.Add(key, stored))
+	sh.Unlock()
 }
 
-func (c *SolveCache) reset(capacity int) {
-	c.resetMu.Lock()
-	defer c.resetMu.Unlock()
-	c.gen.Store(newCacheGen(capacity))
-	c.coalesced.Store(0)
-	c.resetL2Counters()
-}
-
-func (c *SolveCache) resetL2Counters() {
-	c.l2Served.Store(0)
-	c.l2PeerHits.Store(0)
-	c.l2Fallbacks.Store(0)
-}
-
-// resetKeepCap clears entries and counters at the current capacity,
-// reading cap under resetMu (a bare reset(c.cap) would race a concurrent
-// capacity change).
-func (c *SolveCache) resetKeepCap() {
-	c.resetMu.Lock()
-	defer c.resetMu.Unlock()
-	c.gen.Store(newCacheGen(c.gen.Load().cap))
-	c.coalesced.Store(0)
-	c.resetL2Counters()
-}
-
-// stats locks every shard of the current generation before reading any
-// counter, so the returned snapshot is consistent: the hit rate derived
-// from it can never mix a hit count from one moment with a miss count
-// from another. Shards are locked in index order (the only place more
-// than one shard lock is ever held).
+// stats reads the shard counters under one all-shards Snapshot, so the
+// hit rate derived from it can never mix a hit count from one moment
+// with a miss count from another.
 func (c *SolveCache) stats() CacheStats {
-	g := c.gen.Load()
-	for _, sh := range g.shards {
-		sh.mu.Lock()
-	}
 	var st CacheStats
-	for _, sh := range g.shards {
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-		st.Entries += int64(sh.ll.Len())
-	}
-	for _, sh := range g.shards {
-		sh.mu.Unlock()
-	}
+	c.gen.Load().Snapshot(func(sh *lru.Shard[*Result, cacheCounters]) {
+		st.Hits += sh.Counters.hits
+		st.Misses += sh.Counters.misses
+		st.Evictions += sh.Counters.evictions
+		st.Entries += int64(sh.Len())
+	})
 	st.Coalesced = c.coalesced.Load()
 	st.L2Served = c.l2Served.Load()
 	st.L2PeerHits = c.l2PeerHits.Load()
@@ -325,13 +228,13 @@ func SolveCacheStats() CacheStats { return defaultSolveCache.stats() }
 
 // ResetSolveCache empties the solve cache and zeroes its counters,
 // keeping the current capacity. Intended for tests and benchmarks.
-func ResetSolveCache() { defaultSolveCache.resetKeepCap() }
+func ResetSolveCache() { defaultSolveCache.Reset() }
 
 // SetSolveCacheCapacity resets the cache with a new entry budget
 // (capacity ≤ 0 disables caching entirely). The budget is divided across
 // the LRU shards, so per-shard eviction keeps the total entry count
 // within capacity; budgets below the shard count use one shard.
-func SetSolveCacheCapacity(capacity int) { defaultSolveCache.reset(capacity) }
+func SetSolveCacheCapacity(capacity int) { defaultSolveCache.SetCapacity(capacity) }
 
 // cacheKeyFor builds the canonical instance fingerprint: the graph's
 // 128-bit structural hash (plus n and m, so a hash collision must also

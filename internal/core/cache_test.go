@@ -8,6 +8,7 @@ import (
 
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
+	"lpltsp/internal/lru"
 	"lpltsp/internal/rng"
 )
 
@@ -225,14 +226,14 @@ func TestShardedCacheMatchesModelLRU(t *testing.T) {
 	const capacity = 64 // 16 shards × 4 entries
 	c := NewSolveCache(capacity)
 	gen := c.gen.Load()
-	if len(gen.shards) != cacheShardCount {
-		t.Fatalf("capacity %d built %d shards, want %d", capacity, len(gen.shards), cacheShardCount)
+	if len(gen.Shards()) != lru.ShardCount {
+		t.Fatalf("capacity %d built %d shards, want %d", capacity, len(gen.Shards()), lru.ShardCount)
 	}
-	models := make([]*modelLRU, len(gen.shards))
+	models := make([]*modelLRU, len(gen.Shards()))
 	var totalCap int
 	for i := range models {
-		models[i] = &modelLRU{cap: gen.shards[i].cap}
-		totalCap += gen.shards[i].cap
+		models[i] = &modelLRU{cap: gen.Shards()[i].Cap()}
+		totalCap += gen.Shards()[i].Cap()
 	}
 	if totalCap != capacity {
 		t.Fatalf("shard quotas sum to %d, want %d", totalCap, capacity)
@@ -245,7 +246,7 @@ func TestShardedCacheMatchesModelLRU(t *testing.T) {
 	const keys = 160 // 2.5× capacity so evictions are constant
 	for op := 0; op < 20000; op++ {
 		key := fmt.Sprintf("key-%d", r.Intn(keys))
-		model := models[fnvKey(key)&gen.mask]
+		model := models[lru.Hash(key)&uint64(len(gen.Shards())-1)]
 		if r.Intn(2) == 0 {
 			res, ok := c.get(key)
 			if mok := model.get(key); ok != mok {
@@ -275,13 +276,13 @@ func TestShardedCacheMatchesModelLRU(t *testing.T) {
 			st, mh, mm, me, ment)
 	}
 	// Resident sets match per shard, in exact recency order.
-	for i, sh := range gen.shards {
-		sh.mu.Lock()
+	for i, sh := range gen.Shards() {
+		sh.Lock()
 		var got []string
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			got = append(got, el.Value.(*cacheEntry).key)
+		for key := range sh.All() {
+			got = append(got, key)
 		}
-		sh.mu.Unlock()
+		sh.Unlock()
 		want := models[i].keys
 		if len(got) != len(want) {
 			t.Fatalf("shard %d holds %d entries, model %d", i, len(got), len(want))

@@ -6,6 +6,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lpltsp/internal/lru"
 )
 
 // Singleflight coalescing for the solve cache: N concurrent identical
@@ -32,7 +34,9 @@ import (
 // incumbent — the incumbent lives inside engines that are deliberately
 // not stopping.
 
-const flightShardCount = 16
+// flightShardCount matches the LRU's shard count, and flights shard by
+// the same key hash.
+const flightShardCount = lru.ShardCount
 
 type flightTable struct {
 	shards [flightShardCount]flightShard
@@ -140,7 +144,7 @@ func (c *SolveCache) solveCoalesced(ctx context.Context, key string, fn func(con
 	if res, ok := c.get(key); ok {
 		return res, nil
 	}
-	sh := &c.flights.shards[fnvKey(key)&(flightShardCount-1)]
+	sh := &c.flights.shards[lru.Hash(key)&(flightShardCount-1)]
 	sh.mu.Lock()
 	if res, ok := c.getRecounted(key); ok {
 		sh.mu.Unlock()

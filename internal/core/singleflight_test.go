@@ -10,6 +10,7 @@ import (
 
 	"lpltsp/internal/graph"
 	"lpltsp/internal/labeling"
+	"lpltsp/internal/lru"
 )
 
 // gateMethod is a planner method that parks inside Solve until released
@@ -74,7 +75,7 @@ func gateOpts() *Options {
 
 // flightRefs reports the refcount of the live flight for key (0 if none).
 func flightRefs(key string) int {
-	sh := &defaultSolveCache.flights.shards[fnvKey(key)&(flightShardCount-1)]
+	sh := &defaultSolveCache.flights.shards[lru.Hash(key)&(flightShardCount-1)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	f, ok := sh.m[key]

@@ -7,10 +7,10 @@
 // subsequent identical requests are answered by a cheap Check instead
 // of re-running the solve that just crashed, turning a crash loop into
 // a one-line statistic. Tripped keys expire after the TTL and get a
-// clean slate. The tracker is a bounded, sharded LRU in the same
-// geometry as the solve cache and the intern store (2^4 independently
-// locked shards, per-shard quotas, all-shard-locked consistent stats),
-// so recording a failure never serializes the serving tier.
+// clean slate. The tracker is a bounded, sharded LRU (internal/lru, the
+// store under the solve cache and the intern store too), so recording a
+// failure never serializes the serving tier and its stats are one
+// consistent snapshot.
 //
 // Injection provides deterministic, seeded fault injection for chaos
 // testing: production code calls Visit at named sites (see the Site*
@@ -26,9 +26,10 @@
 package fault
 
 import (
-	"container/list"
 	"sync"
 	"time"
+
+	"lpltsp/internal/lru"
 )
 
 // Defaults for Config's zero fields.
@@ -66,41 +67,27 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-const (
-	shardBits  = 4
-	shardCount = 1 << shardBits
-
-	// tripRingSize bounds the recent-trip ring consulted by TripsWithin;
-	// more trips than this inside one readiness window is saturated
-	// anyway.
-	tripRingSize = 64
-)
+// tripRingSize bounds the recent-trip ring consulted by TripsWithin;
+// more trips than this inside one readiness window is saturated anyway.
+const tripRingSize = 64
 
 // Quarantine is the poison-instance tracker. Create with NewQuarantine;
 // the zero value is not usable. All methods are safe for concurrent use.
 type Quarantine struct {
-	cfg    Config
-	shards []*qShard
-	mask   uint64
-	now    func() time.Time // test hook; time.Now in production
+	cfg Config
+	lru *lru.Sharded[*qEntry, qCounters] // LRU by last recorded failure
+	now func() time.Time                 // test hook; time.Now in production
 
 	tripMu    sync.Mutex
 	tripTimes []time.Time // ring of recent trip instants
 	tripNext  int
 }
 
-type qShard struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List // LRU by last recorded failure
-	entries map[string]*list.Element
-
-	records, trips, fastFails, expired, evictions int64
-}
+// qCounters are one shard's, mutated under its lock.
+type qCounters struct{ records, trips, fastFails, expired, evictions int64 }
 
 // qEntry is one tracked key. tripped is zero until the key quarantines.
 type qEntry struct {
-	key      string
 	failures int
 	lastFail time.Time
 	tripped  time.Time
@@ -110,65 +97,33 @@ type qEntry struct {
 // NewQuarantine builds a tracker. The zero Config takes every default.
 func NewQuarantine(cfg Config) *Quarantine {
 	cfg = cfg.withDefaults()
-	shards := shardCount
-	if cfg.Capacity < shardCount {
-		shards = 1
-	}
-	q := &Quarantine{
-		cfg:    cfg,
-		shards: make([]*qShard, shards),
-		mask:   uint64(shards - 1),
-		now:    time.Now,
-	}
-	base, rem := cfg.Capacity/shards, cfg.Capacity%shards
-	for i := range q.shards {
-		sc := base
-		if i < rem {
-			sc++
-		}
-		q.shards[i] = &qShard{cap: sc, ll: list.New(), entries: map[string]*list.Element{}}
-	}
-	return q
-}
-
-func (q *Quarantine) shard(key string) *qShard {
-	return q.shards[fnvHash(key)&q.mask]
+	return &Quarantine{cfg: cfg, lru: lru.New[*qEntry, qCounters](cfg.Capacity), now: time.Now}
 }
 
 // Record notes one containment failure for key and reports whether this
 // failure is the one that tripped the quarantine. reason is surfaced to
 // clients fast-failed by Check (the last recorded reason wins).
 func (q *Quarantine) Record(key, reason string) bool {
-	sh := q.shard(key)
+	sh := q.lru.Shard(key)
 	now := q.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.records++
-	var e *qEntry
-	if el, ok := sh.entries[key]; ok {
-		e = el.Value.(*qEntry)
-		sh.ll.MoveToFront(el)
-		if now.Sub(e.lastFail) > q.cfg.TTL {
-			// Failures this far apart are not a crash loop: restart the
-			// count (and any stale trip) from a clean slate.
-			e.failures, e.tripped = 0, time.Time{}
-		}
-	} else {
-		e = &qEntry{key: key}
-		sh.entries[key] = sh.ll.PushFront(e)
-		for sh.ll.Len() > sh.cap {
-			back := sh.ll.Back()
-			sh.ll.Remove(back)
-			delete(sh.entries, back.Value.(*qEntry).key)
-			sh.evictions++
-		}
+	sh.Lock()
+	defer sh.Unlock()
+	sh.Counters.records++
+	e, ok := sh.Get(key)
+	if !ok {
+		e = &qEntry{}
+		sh.Counters.evictions += int64(sh.Add(key, e))
+	} else if now.Sub(e.lastFail) > q.cfg.TTL {
+		// Failures this far apart are not a crash loop: restart the
+		// count (and any stale trip) from a clean slate.
+		e.failures, e.tripped = 0, time.Time{}
 	}
 	e.failures++
 	e.lastFail = now
 	e.reason = reason
 	if e.failures >= q.cfg.Threshold && e.tripped.IsZero() {
 		e.tripped = now
-		sh.trips++
+		sh.Counters.trips++
 		q.noteTrip(now)
 		return true
 	}
@@ -180,25 +135,20 @@ func (q *Quarantine) Record(key, reason string) bool {
 // (the key gets a clean slate), and every positive answer counts as one
 // fast-fail in the stats.
 func (q *Quarantine) Check(key string) (reason string, quarantined bool) {
-	sh := q.shard(key)
+	sh := q.lru.Shard(key)
 	now := q.now()
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[key]
-	if !ok {
-		return "", false
-	}
-	e := el.Value.(*qEntry)
-	if e.tripped.IsZero() {
+	sh.Lock()
+	defer sh.Unlock()
+	e, ok := sh.Peek(key)
+	if !ok || e.tripped.IsZero() {
 		return "", false
 	}
 	if now.Sub(e.tripped) > q.cfg.TTL {
-		sh.ll.Remove(el)
-		delete(sh.entries, key)
-		sh.expired++
+		sh.Remove(key)
+		sh.Counters.expired++
 		return "", false
 	}
-	sh.fastFails++
+	sh.Counters.fastFails++
 	return e.reason, true
 }
 
@@ -244,40 +194,23 @@ type Stats struct {
 	Records, Trips, FastFails, Expired, Evictions int64
 }
 
-// Stats locks every shard before reading any counter, so the snapshot is
+// Stats reads every counter under one all-shards snapshot, so it is
 // internally consistent (same discipline as the solve cache).
 func (q *Quarantine) Stats() Stats {
 	now := q.now()
-	for _, sh := range q.shards {
-		sh.mu.Lock()
-	}
 	st := Stats{Threshold: q.cfg.Threshold, TTLSeconds: q.cfg.TTL.Seconds()}
-	for _, sh := range q.shards {
-		st.Tracked += int64(sh.ll.Len())
-		for el := sh.ll.Front(); el != nil; el = el.Next() {
-			e := el.Value.(*qEntry)
+	q.lru.Snapshot(func(sh *lru.Shard[*qEntry, qCounters]) {
+		st.Tracked += int64(sh.Len())
+		for _, e := range sh.All() {
 			if !e.tripped.IsZero() && now.Sub(e.tripped) <= q.cfg.TTL {
 				st.Active++
 			}
 		}
-		st.Records += sh.records
-		st.Trips += sh.trips
-		st.FastFails += sh.fastFails
-		st.Expired += sh.expired
-		st.Evictions += sh.evictions
-	}
-	for _, sh := range q.shards {
-		sh.mu.Unlock()
-	}
+		st.Records += sh.Counters.records
+		st.Trips += sh.Counters.trips
+		st.FastFails += sh.Counters.fastFails
+		st.Expired += sh.Counters.expired
+		st.Evictions += sh.Counters.evictions
+	})
 	return st
-}
-
-// fnvHash is FNV-1a, the same shard-selection hash the solve cache and
-// intern store use.
-func fnvHash(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return h
 }

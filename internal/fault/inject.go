@@ -6,6 +6,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"lpltsp/internal/lru"
+	"lpltsp/internal/rng"
 )
 
 // Named injection sites. Production code passes these to Visit; a chaos
@@ -86,13 +89,19 @@ type Plan struct {
 	AllocBytes int
 }
 
+// planRate is a plan's Rate with defaults applied: anything not above 0
+// takes the 0.01 default — NaN included, which compares false against
+// every draw and would otherwise fire on every visit — and rates above
+// 1 are capped at 1.
+func planRate(rate float64) float64 {
+	if !(rate > 0) {
+		return 0.01
+	}
+	return min(rate, 1)
+}
+
 func (p Plan) withDefaults() Plan {
-	if p.Rate <= 0 {
-		p.Rate = 0.01
-	}
-	if p.Rate > 1 {
-		p.Rate = 1
-	}
+	p.Rate = planRate(p.Rate)
 	if p.Delay <= 0 {
 		p.Delay = 2 * time.Millisecond
 	}
@@ -108,26 +117,61 @@ func (p Plan) withDefaults() Plan {
 	return p
 }
 
-// Injector executes a Plan. Sites draw independent deterministic
-// sequences: visit v at site s fires iff splitmix64(seed^fnv(s), v) maps
-// under Rate, so two runs with the same seed inject the same faults at
-// the same visits regardless of goroutine interleaving.
-type Injector struct {
-	plan   Plan
+// siteDraw is the seeded fault decision Injector and NetInjector share.
+// Sites draw independent deterministic sequences: visit v at an armed
+// site s fires iff splitmix64(seed ^ fnv(s) ^ v·φ64) maps under the
+// rate, so two runs with the same seed fault the same visits in the
+// same way regardless of goroutine interleaving.
+type siteDraw struct {
+	seed   uint64
+	rate   float64
+	kinds  uint64          // how many kinds the plan draws from
 	sites  map[string]bool // nil = all sites armed
 	visits sync.Map        // site -> *atomic.Uint64 visit counter
-	fired  [kindCount]atomic.Int64
+}
+
+// arm records a compiled plan's draw parameters; no sites arms them all.
+func (d *siteDraw) arm(seed uint64, rate float64, sites []string, kinds int) {
+	d.seed, d.rate, d.kinds = seed, rate, uint64(kinds)
+	if len(sites) > 0 {
+		d.sites = make(map[string]bool, len(sites))
+		for _, s := range sites {
+			d.sites[s] = true
+		}
+	}
+}
+
+// draw counts one visit to site and returns its visit number and, when
+// the visit fires, the index of the plan kind to execute. Visits to an
+// unarmed site are not counted and report visit 0.
+func (d *siteDraw) draw(site string) (kind int, visit uint64, fire bool) {
+	if d.sites != nil && !d.sites[site] {
+		return 0, 0, false
+	}
+	cv, _ := d.visits.LoadOrStore(site, new(atomic.Uint64))
+	v := cv.(*atomic.Uint64).Add(1)
+	h := rng.SplitMix64(d.seed ^ lru.Hash(site) ^ (v * 0x9e3779b97f4a7c15))
+	// Top 53 bits → uniform float in [0,1).
+	if u := float64(h>>11) / (1 << 53); u >= d.rate {
+		return 0, v, false
+	}
+	// A second scramble picks the kind, so kind choice is uncorrelated
+	// with the fire decision.
+	return int(rng.SplitMix64(h) % d.kinds), v, true
+}
+
+// Injector executes a Plan, drawing each visit's fault by the seeded
+// per-(site, visit) siteDraw.
+type Injector struct {
+	siteDraw
+	plan  Plan
+	fired [kindCount]atomic.Int64
 }
 
 // NewInjector compiles a Plan.
 func NewInjector(plan Plan) *Injector {
 	inj := &Injector{plan: plan.withDefaults()}
-	if len(plan.Sites) > 0 {
-		inj.sites = make(map[string]bool, len(plan.Sites))
-		for _, s := range plan.Sites {
-			inj.sites[s] = true
-		}
-	}
+	inj.arm(inj.plan.Seed, inj.plan.Rate, plan.Sites, len(inj.plan.Kinds))
 	return inj
 }
 
@@ -145,21 +189,11 @@ func (inj *Injector) Fired() map[string]int64 {
 // visit draws the decision for one visit to site: whether to fault, and
 // with which kind. Exposed unexported for determinism tests.
 func (inj *Injector) visit(site string) (Kind, uint64, bool) {
-	if inj.sites != nil && !inj.sites[site] {
-		return 0, 0, false
-	}
-	cv, _ := inj.visits.LoadOrStore(site, new(atomic.Uint64))
-	v := cv.(*atomic.Uint64).Add(1)
-	h := splitmix64(inj.plan.Seed ^ fnvHash(site) ^ (v * 0x9e3779b97f4a7c15))
-	// Top 53 bits → uniform float in [0,1).
-	u := float64(h>>11) / (1 << 53)
-	if u >= inj.plan.Rate {
+	i, v, fire := inj.draw(site)
+	if !fire {
 		return 0, v, false
 	}
-	// A second scramble picks the kind, so kind choice is uncorrelated
-	// with the fire decision.
-	k := inj.plan.Kinds[splitmix64(h)%uint64(len(inj.plan.Kinds))]
-	return k, v, true
+	return inj.plan.Kinds[i], v, true
 }
 
 // execute runs one fault in the calling goroutine.
@@ -217,12 +251,4 @@ func Visit(ctx context.Context, site string) {
 	if k, v, fire := inj.visit(site); fire {
 		inj.execute(ctx, site, k, v)
 	}
-}
-
-// splitmix64 is the standard 64-bit finalizing mix.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
 }

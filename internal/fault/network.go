@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -20,10 +19,9 @@ import (
 // conventionally named "net.<backend>", one per wrapped transport, so a
 // plan can target a single link.
 //
-// Determinism contract (identical to Injector): visit v at site s fires
-// iff splitmix64(seed ^ fnv(s) ^ (v·φ64)) maps under Rate, so two runs
-// with the same seed fault the same visits in the same way regardless
-// of goroutine interleaving.
+// Determinism contract (identical to Injector, from the same siteDraw):
+// two runs with the same seed fault the same visits in the same way
+// regardless of goroutine interleaving.
 
 // NetKind is one network fault flavor.
 type NetKind uint8
@@ -86,12 +84,7 @@ type NetPlan struct {
 }
 
 func (p NetPlan) withDefaults() NetPlan {
-	if p.Rate <= 0 {
-		p.Rate = 0.01
-	}
-	if p.Rate > 1 {
-		p.Rate = 1
-	}
+	p.Rate = planRate(p.Rate)
 	if p.Delay <= 0 {
 		p.Delay = 20 * time.Millisecond
 	}
@@ -116,24 +109,17 @@ func (d Dropped) Error() string {
 }
 
 // NetInjector executes a NetPlan across any number of wrapped
-// transports. Sites draw independent deterministic sequences exactly
-// like Injector's.
+// transports, drawing faults by the same siteDraw as Injector.
 type NetInjector struct {
-	plan   NetPlan
-	sites  map[string]bool // nil = all sites armed
-	visits sync.Map        // site -> *atomic.Uint64 visit counter
-	fired  [netKindCount]atomic.Int64
+	siteDraw
+	plan  NetPlan
+	fired [netKindCount]atomic.Int64
 }
 
 // NewNetInjector compiles a NetPlan.
 func NewNetInjector(plan NetPlan) *NetInjector {
 	inj := &NetInjector{plan: plan.withDefaults()}
-	if len(plan.Sites) > 0 {
-		inj.sites = make(map[string]bool, len(plan.Sites))
-		for _, s := range plan.Sites {
-			inj.sites[s] = true
-		}
-	}
+	inj.arm(inj.plan.Seed, inj.plan.Rate, plan.Sites, len(inj.plan.Kinds))
 	return inj
 }
 
@@ -151,18 +137,11 @@ func (inj *NetInjector) Fired() map[string]int64 {
 // visit draws the decision for one request through site. Unexported for
 // determinism tests, mirroring Injector.visit.
 func (inj *NetInjector) visit(site string) (NetKind, uint64, bool) {
-	if inj.sites != nil && !inj.sites[site] {
-		return 0, 0, false
-	}
-	cv, _ := inj.visits.LoadOrStore(site, new(atomic.Uint64))
-	v := cv.(*atomic.Uint64).Add(1)
-	h := splitmix64(inj.plan.Seed ^ fnvHash(site) ^ (v * 0x9e3779b97f4a7c15))
-	u := float64(h>>11) / (1 << 53)
-	if u >= inj.plan.Rate {
+	i, v, fire := inj.draw(site)
+	if !fire {
 		return 0, v, false
 	}
-	k := inj.plan.Kinds[splitmix64(h)%uint64(len(inj.plan.Kinds))]
-	return k, v, true
+	return inj.plan.Kinds[i], v, true
 }
 
 // Wrap returns a FaultyDoer injecting this plan's faults at the named

@@ -12,19 +12,15 @@
 // number of concurrent solves without copying. Callers must not mutate
 // a graph obtained from Get.
 //
-// The shard geometry matches the solve cache in internal/core: 2^4
-// independently locked LRU shards with per-shard quotas, collapsing to
-// one shard for budgets smaller than the shard count, and stats that
-// lock all shards before reading any counter so snapshots are
-// internally consistent.
+// The store is an internal/lru Sharded: its shard geometry, capacity
+// split and all-shards-locked consistent stats are that package's.
 package intern
 
 import (
-	"container/list"
 	"strconv"
-	"sync"
 
 	"lpltsp/internal/graph"
+	"lpltsp/internal/lru"
 )
 
 // DefaultCapacity is the default entry budget of a store. An entry is
@@ -32,32 +28,14 @@ import (
 // the interned instances' sizes.
 const DefaultCapacity = 1024
 
-const (
-	shardBits  = 4
-	shardCount = 1 << shardBits
-)
-
 // Store is a bounded, sharded LRU of interned graphs keyed by
 // fingerprint ref. The zero value is not usable; call NewStore.
 type Store struct {
-	shards []*shard
-	mask   uint64
-	cap    int
+	lru *lru.Sharded[*graph.Graph, counters]
 }
 
-type shard struct {
-	mu      sync.Mutex
-	cap     int
-	ll      *list.List
-	entries map[string]*list.Element
-
-	puts, dups, hits, misses, evictions int64
-}
-
-type entry struct {
-	ref string
-	g   *graph.Graph
-}
+// counters are one shard's, mutated under its lock.
+type counters struct{ puts, dups, hits, misses, evictions int64 }
 
 // NewStore returns a store with the given total entry budget, divided
 // across the LRU shards (per-shard eviction keeps the total within
@@ -65,23 +43,7 @@ type entry struct {
 // (the fingerprint is a pure function of the graph) but nothing is
 // retained, so every Get misses.
 func NewStore(capacity int) *Store {
-	shards := shardCount
-	if capacity < shardCount {
-		shards = 1
-	}
-	s := &Store{shards: make([]*shard, shards), mask: uint64(shards - 1), cap: capacity}
-	base, rem := 0, 0
-	if capacity > 0 {
-		base, rem = capacity/shards, capacity%shards
-	}
-	for i := range s.shards {
-		sc := base
-		if i < rem {
-			sc++
-		}
-		s.shards[i] = &shard{cap: sc, ll: list.New(), entries: map[string]*list.Element{}}
-	}
-	return s
+	return &Store{lru: lru.New[*graph.Graph, counters](capacity)}
 }
 
 // Ref is the wire form of a graph's identity: the 128-bit structural
@@ -119,18 +81,6 @@ func ValidRef(ref string) bool {
 	return true
 }
 
-func fnvKey(key string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(key); i++ {
-		h = (h ^ uint64(key[i])) * 1099511628211
-	}
-	return h
-}
-
-func (s *Store) shard(ref string) *shard {
-	return s.shards[fnvKey(ref)&s.mask]
-}
-
 // Put interns g and returns its ref. The graph is normalized and its
 // CSR view and fingerprint are forced here, before publication, so
 // readers obtained via Get never race a lazy build. Put is idempotent:
@@ -140,25 +90,15 @@ func (s *Store) Put(g *graph.Graph) string {
 	g.Normalize()
 	_ = g.MaxDegree() // force the lazy CSR view pre-publication
 	ref := Ref(g)     // forces the fingerprint memo
-	sh := s.shard(ref)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	sh.puts++
-	if el, ok := sh.entries[ref]; ok {
-		sh.dups++
-		sh.ll.MoveToFront(el)
+	sh := s.lru.Shard(ref)
+	sh.Lock()
+	defer sh.Unlock()
+	sh.Counters.puts++
+	if _, ok := sh.Get(ref); ok {
+		sh.Counters.dups++
 		return ref
 	}
-	if sh.cap <= 0 {
-		return ref
-	}
-	sh.entries[ref] = sh.ll.PushFront(&entry{ref: ref, g: g})
-	for sh.ll.Len() > sh.cap {
-		back := sh.ll.Back()
-		sh.ll.Remove(back)
-		delete(sh.entries, back.Value.(*entry).ref)
-		sh.evictions++
-	}
+	sh.Counters.evictions += int64(sh.Add(ref, g))
 	return ref
 }
 
@@ -166,29 +106,20 @@ func (s *Store) Put(g *graph.Graph) string {
 // never interned or has been evicted. The returned graph is shared and
 // must be treated as read-only.
 func (s *Store) Get(ref string) (*graph.Graph, bool) {
-	sh := s.shard(ref)
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	el, ok := sh.entries[ref]
+	sh := s.lru.Shard(ref)
+	sh.Lock()
+	defer sh.Unlock()
+	g, ok := sh.Get(ref)
 	if !ok {
-		sh.misses++
+		sh.Counters.misses++
 		return nil, false
 	}
-	sh.hits++
-	sh.ll.MoveToFront(el)
-	return el.Value.(*entry).g, true
+	sh.Counters.hits++
+	return g, true
 }
 
 // Len returns the current number of interned graphs.
-func (s *Store) Len() int {
-	n := 0
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-		n += sh.ll.Len()
-		sh.mu.Unlock()
-	}
-	return n
-}
+func (s *Store) Len() int { return int(s.Stats().Entries) }
 
 // Stats is a consistent snapshot of a store's counters. Puts counts
 // every Put call; Reinterned is the subset that found the graph already
@@ -203,24 +134,18 @@ type Stats struct {
 	Evictions  int64 `json:"evictions"`
 }
 
-// Stats locks every shard before reading any counter, so the snapshot
-// can never mix counts from different moments.
+// Stats reads every counter under one all-shards snapshot, so it can
+// never mix counts from different moments.
 func (s *Store) Stats() Stats {
-	for _, sh := range s.shards {
-		sh.mu.Lock()
-	}
-	st := Stats{Capacity: int64(s.cap)}
-	for _, sh := range s.shards {
-		st.Entries += int64(sh.ll.Len())
-		st.Puts += sh.puts
-		st.Reinterned += sh.dups
-		st.Hits += sh.hits
-		st.Misses += sh.misses
-		st.Evictions += sh.evictions
-	}
-	for _, sh := range s.shards {
-		sh.mu.Unlock()
-	}
+	st := Stats{Capacity: int64(s.lru.Cap())}
+	s.lru.Snapshot(func(sh *lru.Shard[*graph.Graph, counters]) {
+		st.Entries += int64(sh.Len())
+		st.Puts += sh.Counters.puts
+		st.Reinterned += sh.Counters.dups
+		st.Hits += sh.Counters.hits
+		st.Misses += sh.Counters.misses
+		st.Evictions += sh.Counters.evictions
+	})
 	return st
 }
 

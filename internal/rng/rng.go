@@ -21,15 +21,22 @@ type RNG struct {
 // Distinct seeds yield statistically independent streams.
 func New(seed uint64) *RNG {
 	r := &RNG{}
-	sm := seed
 	for i := range r.s {
-		sm += 0x9e3779b97f4a7c15
-		z := sm
-		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-		r.s[i] = z ^ (z >> 31)
+		r.s[i] = SplitMix64(seed)
+		seed += 0x9e3779b97f4a7c15
 	}
 	return r
+}
+
+// SplitMix64 is one step of the splitmix64 generator from state x: x
+// advanced by the golden-ratio increment, then put through the
+// finalizing mix. As a pure function it is a full-avalanche 64-bit
+// hash, which is how the fault injectors use it.
+func SplitMix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
 }
 
 // Split derives a new independent generator from r, advancing r.
